@@ -8,10 +8,11 @@ See :mod:`repro.bdd.backends.base` for the contract.
 
 from __future__ import annotations
 
-from typing import Dict, Tuple, Type
+import sys
+from typing import Dict, Tuple
 
+from ..._lazy import lazy_exports
 from ...errors import BDDError
-from .array_backend import ArrayBackend
 from .base import FALSE, TERMINAL_LEVEL, TRUE, BDDBackend
 from .dict_backend import DictBackend
 
@@ -19,10 +20,14 @@ from .dict_backend import DictBackend
 BACKEND_DICT = "dict"
 BACKEND_ARRAY = "array"
 
-_REGISTRY: Dict[str, Type[BDDBackend]] = {
-    BACKEND_DICT: DictBackend,
-    BACKEND_ARRAY: ArrayBackend,
+#: name -> class exported by this package.  ``ArrayBackend`` is a lazy
+#: export, so runs on the default backend never import the array kernels.
+_REGISTRY: Dict[str, str] = {
+    BACKEND_DICT: "DictBackend",
+    BACKEND_ARRAY: "ArrayBackend",
 }
+
+__getattr__, __dir__ = lazy_exports(__name__, {"ArrayBackend": "array_backend"})
 
 #: All selectable backend names, sorted (the argparse choices list).
 BACKEND_NAMES: Tuple[str, ...] = tuple(sorted(_REGISTRY))
@@ -37,13 +42,13 @@ def create_backend(name: str) -> BDDBackend:
     'array'
     """
     try:
-        cls = _REGISTRY[name]
+        cls_name = _REGISTRY[name]
     except KeyError:
         raise BDDError(
             f"unknown BDD backend {name!r}; "
             f"available: {', '.join(BACKEND_NAMES)}"
         ) from None
-    return cls()
+    return getattr(sys.modules[__name__], cls_name)()
 
 
 __all__ = [

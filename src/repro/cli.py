@@ -66,27 +66,30 @@ import argparse
 import sys
 import time
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 from ._version import __version__
-from .analysis import Analysis
-from .engine import EngineConfig
-from .errors import ConfigError, ModelError, ParseError, ReproError
-from .suite import (
-    BUILTIN_TARGETS,
-    DEFAULT_MAX_SHARD_RETRIES,
-    build_builtin,
-    default_jobs,
-    format_results,
-    run_jobs_sharded,
-    write_report,
-)
+
+if TYPE_CHECKING:
+    from .analysis import Analysis
+    from .engine import EngineConfig
 
 __all__ = ["main", "TARGETS"]
+
+#: ``--version`` output, shared by the argparse action and the fast path
+#: in :func:`main`.
+_VERSION_TEXT = f"repro-coverage {__version__}"
+
+# Each subcommand imports what it uses inside its ``_main_*`` function:
+# ``--version`` loads no other repro module, ``run`` and ``lint`` never
+# load the suite runner, the shard executor or the server.
 
 
 def _legacy_builder(name: str) -> Callable:
     def build(args):
+        from .engine import EngineConfig
+        from .suite.registry import build_builtin
+
         return build_builtin(
             name, stage=args.stage, buggy=args.buggy,
             config=EngineConfig.from_args(args),
@@ -95,16 +98,28 @@ def _legacy_builder(name: str) -> Callable:
     return build
 
 
-#: target name -> (builder, valid stages, description) — kept in the shape
-#: the original CLI exposed, now derived from the suite registry.
-TARGETS: Dict[str, Tuple[Callable, List[str], str]] = {
-    target.name: (
-        _legacy_builder(target.name),
-        list(target.stages),
-        target.description,
-    )
-    for target in BUILTIN_TARGETS.values()
-}
+def _targets() -> Dict[str, Tuple[Callable, List[str], str]]:
+    """target name -> (builder, valid stages, description) — kept in the
+    shape the original CLI exposed, now derived from the suite registry."""
+    from .suite.registry import BUILTIN_TARGETS
+
+    return {
+        target.name: (
+            _legacy_builder(target.name),
+            list(target.stages),
+            target.description,
+        )
+        for target in BUILTIN_TARGETS.values()
+    }
+
+
+def __getattr__(name: str):
+    # ``TARGETS`` is built on first access (PEP 562), so importing the CLI
+    # does not build the circuit registry.
+    if name == "TARGETS":
+        targets = globals()["TARGETS"] = _targets()
+        return targets
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 # ----------------------------------------------------------------------
@@ -116,6 +131,8 @@ TARGETS: Dict[str, Tuple[Callable, List[str], str]] = {
 def _engine_parent() -> argparse.ArgumentParser:
     """The shared parent parser: every engine knob, defined once, from the
     config object itself."""
+    from .engine import EngineConfig
+
     parent = argparse.ArgumentParser(add_help=False)
     EngineConfig.add_cli_arguments(parent)
     return parent
@@ -172,7 +189,7 @@ def build_parser() -> argparse.ArgumentParser:
         parents=[_engine_parent()],
     )
     parser.add_argument(
-        "--version", action="version", version=f"%(prog)s {__version__}",
+        "--version", action="version", version=_VERSION_TEXT,
     )
     parser.add_argument("target", nargs="?", help="circuit/signal to analyse")
     parser.add_argument("--list", action="store_true", help="list targets")
@@ -374,6 +391,8 @@ def _build_bench_parser() -> argparse.ArgumentParser:
 
 
 def _build_suite_parser() -> argparse.ArgumentParser:
+    from .suite.shards import DEFAULT_MAX_SHARD_RETRIES
+
     parser = argparse.ArgumentParser(
         prog="repro-coverage suite",
         description=(
@@ -536,9 +555,11 @@ def _emit_telemetry(
 
 def _main_target(argv: List[str]) -> int:
     args = build_parser().parse_args(argv)
+    from .suite.registry import BUILTIN_TARGETS
+
     if args.list or not args.target:
         print("available targets:")
-        for name, (_, stages, description) in TARGETS.items():
+        for name, (_, stages, description) in _targets().items():
             stage_note = f" (stages: {', '.join(stages)})" if stages else ""
             print(f"  {name:12s} {description}{stage_note}")
         print("subcommands:")
@@ -565,6 +586,10 @@ def _main_target(argv: List[str]) -> int:
             file=sys.stderr,
         )
         return 2
+    from .analysis import Analysis
+    from .engine import EngineConfig
+    from .errors import ReproError
+
     config = _telemetry_config(EngineConfig.from_args(args), args)
     try:
         analysis = Analysis.builtin(
@@ -616,6 +641,10 @@ def _run_via_server(args, config: EngineConfig) -> int:
 
 def _main_run(argv: List[str]) -> int:
     args = _build_run_parser().parse_args(argv)
+    from .analysis import Analysis
+    from .engine import EngineConfig
+    from .errors import ModelError, ParseError, ReproError
+
     config = _telemetry_config(EngineConfig.from_args(args), args)
     if args.server:
         return _run_via_server(args, config)
@@ -641,6 +670,10 @@ def _main_run(argv: List[str]) -> int:
 
 def _main_suite(argv: List[str]) -> int:
     args = _build_suite_parser().parse_args(argv)
+    from .engine import EngineConfig
+    from .suite.registry import default_jobs
+    from .suite.runner import format_results, run_jobs_sharded, write_report
+
     # Validate the engine flags up front: one usage error beats every
     # worker failing with the same message after fan-out.
     config = EngineConfig.from_args(args)
@@ -667,7 +700,7 @@ def _main_suite(argv: List[str]) -> int:
     if args.server:
         from .errors import ServeError
         from .serve.client import ServeClient
-        from .suite import run_jobs_via_server
+        from .suite.runner import run_jobs_via_server
 
         client = ServeClient(args.server)
         try:
@@ -716,7 +749,7 @@ def _main_lint(argv: List[str]) -> int:
 
     report = LintReport(files=[])
     if args.target:
-        from .suite import default_jobs
+        from .suite.registry import default_jobs
 
         rml_dir = "examples" if Path("examples").is_dir() else None
         jobs = {job.name: job for job in default_jobs(rml_dir=rml_dir)}
@@ -946,6 +979,13 @@ def _main_fuzz(argv: List[str]) -> int:
 
 def main(argv: Optional[List[str]] = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
+    if argv == ["--version"]:
+        # What argparse's version action prints, without building the
+        # target parser (and so importing the engine) first.
+        print(_VERSION_TEXT)
+        raise SystemExit(0)
+    from .errors import ConfigError
+
     try:
         if argv and argv[0] == "run":
             return _main_run(argv[1:])

@@ -8,11 +8,18 @@
   functions, exposed for tests and the Figure 3 bench.
 """
 
+from .._lazy import lazy_exports
 from .estimator import CoverageEstimator
 from .functions import depend, firstreached, traverse
-from .mutation import mutation_covered, mutation_covered_raw, reachable_indices
 from .report import CoverageReport, PropertyCoverage
 from .traces import format_uncovered_traces, trace_to_uncovered
+
+# The Definition-3 mutation oracle is ground truth for tests; it loads on
+# first use.
+__getattr__, __dir__ = lazy_exports(__name__, {
+    name: "mutation"
+    for name in ("mutation_covered", "mutation_covered_raw", "reachable_indices")
+})
 
 __all__ = [
     "CoverageEstimator",

@@ -15,9 +15,9 @@ paper's ``b -> f`` shape.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import FrozenSet, Tuple
 
+from .._node import Node
 from ..expr.ast import (
     TRUE_EXPR,
     And as EAnd,
@@ -55,7 +55,7 @@ __all__ = [
 ]
 
 
-class CtlFormula:
+class CtlFormula(Node):
     """Base class for CTL formulas."""
 
     __slots__ = ()
@@ -82,100 +82,100 @@ class CtlFormula:
         return f"{type(self).__name__}({self})"
 
 
-@dataclass(frozen=True, slots=True)
 class Atom(CtlFormula):
     """A propositional leaf (state predicate)."""
 
+    __slots__ = ("expr",)
     expr: Expr
 
 
-@dataclass(frozen=True, slots=True)
 class CtlNot(CtlFormula):
+    __slots__ = ("operand",)
     operand: CtlFormula
 
 
-@dataclass(frozen=True, slots=True)
 class CtlAnd(CtlFormula):
+    __slots__ = ("args",)
     args: Tuple[CtlFormula, ...]
 
 
-@dataclass(frozen=True, slots=True)
 class CtlOr(CtlFormula):
+    __slots__ = ("args",)
     args: Tuple[CtlFormula, ...]
 
 
-@dataclass(frozen=True, slots=True)
 class CtlImplies(CtlFormula):
+    __slots__ = ("lhs", "rhs")
     lhs: CtlFormula
     rhs: CtlFormula
 
 
-@dataclass(frozen=True, slots=True)
 class CtlIff(CtlFormula):
+    __slots__ = ("lhs", "rhs")
     lhs: CtlFormula
     rhs: CtlFormula
 
 
-@dataclass(frozen=True, slots=True)
 class CtlXor(CtlFormula):
+    __slots__ = ("lhs", "rhs")
     lhs: CtlFormula
     rhs: CtlFormula
 
 
-@dataclass(frozen=True, slots=True)
 class AX(CtlFormula):
     """On all paths, ``operand`` holds in the next state."""
 
+    __slots__ = ("operand",)
     operand: CtlFormula
 
 
-@dataclass(frozen=True, slots=True)
 class AG(CtlFormula):
     """On all paths, ``operand`` holds globally."""
 
+    __slots__ = ("operand",)
     operand: CtlFormula
 
 
-@dataclass(frozen=True, slots=True)
 class AF(CtlFormula):
     """On all paths, ``operand`` eventually holds (sugar for A[true U f])."""
 
+    __slots__ = ("operand",)
     operand: CtlFormula
 
 
-@dataclass(frozen=True, slots=True)
 class AU(CtlFormula):
     """On all paths, ``lhs`` holds until ``rhs`` holds (which it must)."""
 
+    __slots__ = ("lhs", "rhs")
     lhs: CtlFormula
     rhs: CtlFormula
 
 
-@dataclass(frozen=True, slots=True)
 class EX(CtlFormula):
     """On some path, ``operand`` holds in the next state."""
 
+    __slots__ = ("operand",)
     operand: CtlFormula
 
 
-@dataclass(frozen=True, slots=True)
 class EG(CtlFormula):
     """On some path, ``operand`` holds globally."""
 
+    __slots__ = ("operand",)
     operand: CtlFormula
 
 
-@dataclass(frozen=True, slots=True)
 class EF(CtlFormula):
     """On some path, ``operand`` eventually holds."""
 
+    __slots__ = ("operand",)
     operand: CtlFormula
 
 
-@dataclass(frozen=True, slots=True)
 class EU(CtlFormula):
     """On some path, ``lhs`` holds until ``rhs`` holds."""
 
+    __slots__ = ("lhs", "rhs")
     lhs: CtlFormula
     rhs: CtlFormula
 

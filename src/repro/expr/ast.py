@@ -4,8 +4,9 @@ Expressions are the ``b`` of the paper's grammar: Boolean predicates over the
 signals of Definition 1.  They appear as antecedents/consequents inside CTL
 formulas, as don't-care sets, and as fairness constraints.
 
-All node classes are immutable; operators are overloaded so properties can be
-built programmatically::
+All node classes are immutable :class:`~repro._node.Node` subclasses
+(fields in ``__slots__``; structural equality and hashing); operators are
+overloaded so properties can be built programmatically::
 
     (~Var("stall") & ~Var("reset")).implies(Var("ready"))
 
@@ -16,8 +17,9 @@ and lowered to pure bit-level Boolean structure by
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, FrozenSet, Tuple, Union
+
+from .._node import Node
 
 __all__ = [
     "Expr",
@@ -39,7 +41,7 @@ __all__ = [
 CMP_OPS = ("==", "!=", "<", "<=", ">", ">=")
 
 
-class Expr:
+class Expr(Node):
     """Base class for propositional expressions."""
 
     __slots__ = ()
@@ -87,66 +89,65 @@ class Expr:
         return f"{type(self).__name__}({self})"
 
 
-@dataclass(frozen=True, slots=True)
 class Const(Expr):
     """The constants ``true`` / ``false``."""
 
+    __slots__ = ("value",)
     value: bool
 
 
-@dataclass(frozen=True, slots=True)
 class Var(Expr):
     """A reference to a named Boolean signal."""
 
+    __slots__ = ("name",)
     name: str
 
 
-@dataclass(frozen=True, slots=True)
 class Not(Expr):
     """Negation."""
 
+    __slots__ = ("operand",)
     operand: Expr
 
 
-@dataclass(frozen=True, slots=True)
 class And(Expr):
     """N-ary conjunction (kept n-ary for readable round-tripping)."""
 
+    __slots__ = ("args",)
     args: Tuple[Expr, ...]
 
 
-@dataclass(frozen=True, slots=True)
 class Or(Expr):
     """N-ary disjunction."""
 
+    __slots__ = ("args",)
     args: Tuple[Expr, ...]
 
 
-@dataclass(frozen=True, slots=True)
 class Xor(Expr):
     """Exclusive or."""
 
+    __slots__ = ("lhs", "rhs")
     lhs: Expr
     rhs: Expr
 
 
-@dataclass(frozen=True, slots=True)
 class Iff(Expr):
     """Equivalence."""
 
+    __slots__ = ("lhs", "rhs")
     lhs: Expr
     rhs: Expr
 
 
-@dataclass(frozen=True, slots=True)
 class Implies(Expr):
     """Implication."""
 
+    __slots__ = ("lhs", "rhs")
     lhs: Expr
     rhs: Expr
 
 
-@dataclass(frozen=True, slots=True)
 class WordCmp(Expr):
     """Comparison of a named bit-vector against a constant or another word.
 
@@ -154,6 +155,7 @@ class WordCmp(Expr):
     ``int`` constant or another name.  The comparison is unsigned.
     """
 
+    __slots__ = ("op", "lhs", "rhs")
     op: str
     lhs: str
     rhs: Union[int, str]

@@ -13,7 +13,10 @@ elaborator.
 
 All nodes compare structurally with source positions excluded, so a
 parse -> print -> parse round trip yields an *equal* module even though the
-re-parsed positions differ.
+re-parsed positions differ.  The right-hand-side nodes (word expressions
+and ``case`` blocks) are :class:`~repro._node.Node` subclasses like the
+expression AST they nest in; the declarations, which carry defaulted
+fields and positions that never compare, stay dataclasses.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Tuple, Union
 
+from .._node import Node
 from ..ctl.ast import CtlFormula
 from ..expr.ast import Expr
 
@@ -48,39 +52,39 @@ __all__ = [
 # ----------------------------------------------------------------------
 
 
-class WordExpr:
+class WordExpr(Node):
     """Base class for word-valued right-hand sides."""
 
     __slots__ = ()
 
 
-@dataclass(frozen=True, slots=True)
 class WordConst(WordExpr):
     """An unsigned constant word value (``0``, ``0x1f``, ``0b101``)."""
 
+    __slots__ = ("value",)
     value: int
 
 
-@dataclass(frozen=True, slots=True)
 class WordRef(WordExpr):
     """The current value of another word (or the word itself: hold)."""
 
+    __slots__ = ("name",)
     name: str
 
 
-@dataclass(frozen=True, slots=True)
 class WordOffset(WordExpr):
     """``name + k`` / ``name - k`` with wraparound at the word width."""
 
+    __slots__ = ("name", "offset")
     name: str
     offset: int
 
 
-@dataclass(frozen=True, slots=True)
 class WordSum(WordExpr):
     """``a + b`` of two words — allowed only in ``DEFINE`` (the result is
     one bit wider than the widest operand, so it cannot feed a latch)."""
 
+    __slots__ = ("lhs", "rhs")
     lhs: str
     rhs: str
 
@@ -91,22 +95,22 @@ class WordSum(WordExpr):
 NextValue = Union[Expr, WordExpr, "Case"]
 
 
-@dataclass(frozen=True, slots=True)
-class CaseArm:
+class CaseArm(Node):
     """One ``condition : value;`` arm of a ``case`` block."""
 
+    __slots__ = ("condition", "value")
     condition: Expr
     value: Union[Expr, WordExpr]
 
 
-@dataclass(frozen=True, slots=True)
-class Case:
+class Case(Node):
     """A ``case ... esac`` block: first matching arm wins.
 
     The elaborator requires the last arm's condition to be the constant
     ``TRUE`` (exhaustiveness, as in SMV).
     """
 
+    __slots__ = ("arms",)
     arms: Tuple[CaseArm, ...]
 
 

@@ -31,18 +31,7 @@ so a run with telemetry on produces byte-identical verdicts, coverage
 numbers and traces to a run with telemetry off.
 """
 
-from .bench import (
-    BENCH_SCHEMA,
-    BENCH_WORKLOADS,
-    BenchResult,
-    BenchWorkload,
-    baseline_path,
-    compare_result,
-    load_baseline,
-    run_bench,
-    run_workload,
-    write_baseline,
-)
+from .._lazy import lazy_exports
 from .counters import (
     counter_delta,
     counter_inc,
@@ -61,6 +50,23 @@ from .telemetry import (
     format_profile,
 )
 from .trace import chrome_trace_events, write_chrome_trace
+
+# The bench registry loads lazily: only ``repro bench`` uses it.
+__getattr__, __dir__ = lazy_exports(__name__, {
+    name: "bench"
+    for name in (
+        "BENCH_SCHEMA",
+        "BENCH_WORKLOADS",
+        "BenchResult",
+        "BenchWorkload",
+        "baseline_path",
+        "compare_result",
+        "load_baseline",
+        "run_bench",
+        "run_workload",
+        "write_baseline",
+    )
+})
 
 __all__ = [
     "METRICS_SCHEMA",

@@ -43,6 +43,7 @@ from typing import Dict
 from ..engine import EngineConfig
 from ..errors import ConfigError
 from ..suite.jobs import KIND_BUILTIN, KIND_RML, CoverageJob
+from ..suite.runner import execute_job, preload_job_imports
 
 __all__ = [
     "BrokenProcessPool",
@@ -167,8 +168,6 @@ def analyze_payload(payload: Dict, module=None) -> Dict:
     """
     if payload.get("kind") == KIND_CRASH:  # test hook; see KIND_CRASH
         os._exit(13)
-    from ..suite.runner import execute_job
-
     job = job_from_payload(payload)
     return execute_job(job, module=module, include_lint=False).to_json()
 
@@ -199,6 +198,9 @@ class WorkerPool:
             return ThreadPoolExecutor(
                 max_workers=1, thread_name_prefix="repro-serve-inline"
             )
+        # Workers fork from this process: import the analysis stack first
+        # so no worker imports it inside a request.
+        preload_job_imports()
         return ProcessPoolExecutor(
             max_workers=self.workers, initializer=_worker_init
         )

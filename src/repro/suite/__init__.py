@@ -18,6 +18,7 @@ worker drives the shared :class:`~repro.analysis.Analysis` facade, so
 suite numbers are produced by exactly the code path the CLI uses.
 """
 
+from .._lazy import lazy_exports
 from .jobs import CoverageJob, JobResult
 from .registry import (
     BUILTIN_TARGETS,
@@ -28,25 +29,26 @@ from .registry import (
     discover_rml,
     rml_job,
 )
-from .runner import (
-    JSON_SCHEMA_ID,
-    JSON_SCHEMA_ID_V1,
-    execute_job,
-    format_results,
-    read_report,
-    run_jobs,
-    run_jobs_sharded,
-    run_jobs_via_server,
-    suite_report,
-    write_report,
-)
-from .shards import (
-    DEFAULT_MAX_SHARD_RETRIES,
-    ShardStats,
-    default_shard_count,
-    plan_shards,
-    run_sharded,
-)
+# The runner and the shard executor load lazily: the shard executor pulls
+# in concurrent.futures, multiprocessing and socket, which callers that
+# only need a job record or the builtin registry never use.
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "DEFAULT_MAX_SHARD_RETRIES": "shards",
+    "ShardStats": "shards",
+    "default_shard_count": "shards",
+    "plan_shards": "shards",
+    "run_sharded": "shards",
+    "JSON_SCHEMA_ID": "runner",
+    "JSON_SCHEMA_ID_V1": "runner",
+    "execute_job": "runner",
+    "format_results": "runner",
+    "read_report": "runner",
+    "run_jobs": "runner",
+    "run_jobs_sharded": "runner",
+    "run_jobs_via_server": "runner",
+    "suite_report": "runner",
+    "write_report": "runner",
+})
 
 __all__ = [
     "CoverageJob",

@@ -34,6 +34,7 @@ from .shards import DEFAULT_MAX_SHARD_RETRIES, ShardStats, run_sharded
 
 __all__ = [
     "execute_job",
+    "preload_job_imports",
     "run_jobs",
     "run_jobs_sharded",
     "run_jobs_via_server",
@@ -87,6 +88,21 @@ def execute_job(
             error=str(exc),
             seconds=time.perf_counter() - started,
         )
+
+
+def preload_job_imports() -> None:
+    """Import everything :func:`execute_job` needs in this process.
+
+    Process pools fork their workers from the calling process, so a
+    parent that calls this before it builds a pool hands every worker —
+    fresh or recycled — the analysis stack already imported; otherwise
+    each worker pays for those imports inside its first job.  This module
+    imports :mod:`repro.analysis` itself; the ``.rml`` front end and the
+    builtin registry load lazily inside :meth:`Analysis.from_job
+    <repro.analysis.Analysis.from_job>`, so they are named here.
+    """
+    from ..lang import elaborate, parse_module  # noqa: F401
+    from .registry import build_builtin  # noqa: F401
 
 
 def _shard_error_result(job: CoverageJob, message: str) -> AnalysisResult:
@@ -146,6 +162,7 @@ def run_jobs_sharded(
         return [execute_job(job) for job in jobs], ShardStats(
             shards=0, workers=1, completed=0
         )
+    preload_job_imports()
     return run_sharded(
         jobs,
         execute_job,

@@ -83,3 +83,48 @@ def test_cli_exit_codes():
     )
     assert bad.returncode == 1
     assert "invariant violation" in bad.stdout
+
+
+def test_cold_import_flags_module_level_only(tmp_path):
+    checker = _load_checker()
+    module = tmp_path / "module.py"
+    module.write_text(
+        "from typing import TYPE_CHECKING\n"
+        "import json\n"
+        "from concurrent.futures import ProcessPoolExecutor\n"
+        "from http import client\n"
+        "try:\n"
+        "    import multiprocessing.pool as pool\n"
+        "except ImportError:\n"
+        "    pool = None\n"
+        "if TYPE_CHECKING:\n"
+        "    import asyncio\n"
+        "class Holder:\n"
+        "    import zipfile\n"
+        "def lazy():\n"
+        "    import socket\n"
+        "    from concurrent import futures\n"
+        "    return socket, futures\n"
+    )
+    violations = checker.check_cold_import(
+        checker.ast.parse(module.read_text()), module
+    )
+    assert [(v.line, v.rule) for v in violations] == [
+        (3, "cold-import"),
+        (4, "cold-import"),
+        (6, "cold-import"),
+        (12, "cold-import"),
+    ]
+
+
+def test_cold_import_allowlist_is_scoped():
+    """The fan-out and serving modules may import pool/socket machinery at
+    module level; the rest of ``src/`` may not."""
+    checker = _load_checker()
+    _, _, applies = next(r for r in checker.RULES if r[0] == "cold-import")
+    assert not applies("src/repro/suite/shards.py")
+    assert not applies("src/repro/serve/server.py")
+    assert not applies("src/repro/gen/fuzz.py")
+    assert applies("src/repro/suite/runner.py")
+    assert applies("src/repro/cli.py")
+    assert not applies("tests/test_cli.py")

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Fail CI when the codebase breaks one of its structural invariants.
 
-Three guarantees earlier PRs established are enforceable by AST
+Four guarantees earlier PRs established are enforceable by AST
 inspection, so this tool enforces them:
 
 ``kernel-recursion``
@@ -23,6 +23,15 @@ inspection, so this tool enforces them:
     Every literal ``DeprecationWarning`` message starts with
     ``"repro: "``, so users filtering warnings can target the library
     with one pattern.
+
+``cold-import``
+    No module under ``src/`` imports ``concurrent.futures``,
+    ``multiprocessing``, ``socket``, ``asyncio``, ``http.*`` or
+    ``zipfile`` at module level, except the modules that exist to fan
+    work out or serve it (``suite/shards.py``, ``serve/``, the fuzz
+    fan-out ``gen/fuzz.py``).  Anything else imports them inside the
+    function that uses them, so a cold ``repro run`` or ``repro lint``
+    never pays for process pools or sockets.
 
 When scanning a directory each rule applies only to its scoped paths;
 explicitly-listed files get every rule (which is how the deliberately
@@ -56,6 +65,25 @@ ORDERED_OUTPUT_MODULES = (
 
 #: Path fragment the kernel-recursion rule covers.
 BACKEND_DIR = "src/repro/bdd/backends/"
+
+#: Modules (and their submodules) the cold-import rule keeps out of
+#: module-level imports.
+COLD_IMPORT_BANNED = (
+    "concurrent.futures",
+    "multiprocessing",
+    "socket",
+    "asyncio",
+    "http",
+    "zipfile",
+)
+
+#: Path fragments allowed to import them at module level: the fan-out and
+#: serving code, which exists to use them.
+COLD_IMPORT_ALLOWED = (
+    "src/repro/suite/shards.py",
+    "src/repro/serve/",
+    "src/repro/gen/fuzz.py",
+)
 
 
 class Violation(NamedTuple):
@@ -204,6 +232,66 @@ def check_deprecation_prefix(tree: ast.AST, path: Path) -> List[Violation]:
 
 
 # ----------------------------------------------------------------------
+# Rule: cold-import
+# ----------------------------------------------------------------------
+
+
+def _module_level_imports(body) -> Iterator[ast.AST]:
+    """Import statements that run when the module is imported: the top
+    level and any block nested in it, class bodies included, but not
+    function bodies or ``if TYPE_CHECKING:`` blocks."""
+    for node in body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield node
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        elif isinstance(node, ast.If) and ast.unparse(node.test) in (
+            "TYPE_CHECKING", "typing.TYPE_CHECKING",
+        ):
+            yield from _module_level_imports(node.orelse)
+        else:
+            for field in ("body", "orelse", "finalbody", "handlers"):
+                yield from _module_level_imports(getattr(node, field, []))
+
+
+def _imported_modules(node: ast.AST) -> List[str]:
+    if isinstance(node, ast.Import):
+        return [alias.name for alias in node.names]
+    if node.level:  # relative: always first-party
+        return []
+    module = node.module or ""
+    # ``from concurrent import futures`` imports ``concurrent.futures``.
+    return [module] + [f"{module}.{alias.name}" for alias in node.names]
+
+
+def check_cold_import(tree: ast.AST, path: Path) -> List[Violation]:
+    """Flag module-level imports of process-pool, socket and archive
+    machinery."""
+    out: List[Violation] = []
+    for node in _module_level_imports(tree.body):
+        for name in _imported_modules(node):
+            banned = next(
+                (
+                    b for b in COLD_IMPORT_BANNED
+                    if name == b or name.startswith(b + ".")
+                ),
+                None,
+            )
+            if banned is None:
+                continue
+            out.append(
+                Violation(
+                    path, node.lineno, "cold-import",
+                    f"module-level import of {name!r}: import it inside "
+                    f"the function that uses it, so cold CLI commands "
+                    f"never load {banned!r}",
+                )
+            )
+            break
+    return out
+
+
+# ----------------------------------------------------------------------
 # Driver
 # ----------------------------------------------------------------------
 
@@ -222,6 +310,12 @@ RULES: Tuple[Tuple[str, Callable, Callable], ...] = (
         "deprecation-prefix",
         check_deprecation_prefix,
         lambda rel: rel.startswith("src/"),
+    ),
+    (
+        "cold-import",
+        check_cold_import,
+        lambda rel: rel.startswith("src/")
+        and not any(rel.startswith(a) for a in COLD_IMPORT_ALLOWED),
     ),
 )
 

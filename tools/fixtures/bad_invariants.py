@@ -6,6 +6,7 @@ assert that every rule fires.  Nothing imports this module — it only
 needs to be syntactically valid.
 """
 
+import socket  # cold-import: socket machinery at module level.
 import warnings
 
 
