@@ -261,11 +261,16 @@ class CircuitBuilder:
         # Transition relation: one conjunct per latch (``latch' <-> f``);
         # free inputs contribute no conjunct (their next value is
         # unconstrained).  The partition keeps the conjuncts separate;
-        # mono mode conjoins them here, eagerly.
+        # mono mode conjoins them here, eagerly.  The next-state functions
+        # ``f`` themselves go to the FSM too: partitioned preimages
+        # substitute them instead of running the relational product.
+        next_functions: Dict[str, Function] = {}
         conjuncts: List[Function] = []
         for latch in self._latches:
+            next_fn = symbolize(self._latch_next[latch])
+            next_functions[latch] = next_fn
             next_var = Function.var(manager, latch + NEXT_SUFFIX)
-            conjuncts.append(next_var.iff(symbolize(self._latch_next[latch])))
+            conjuncts.append(next_var.iff(next_fn))
         partition = (
             TransitionPartition(conjuncts, labels=list(self._latches))
             if conjuncts
@@ -298,6 +303,7 @@ class CircuitBuilder:
             words=self._words,
             fairness=fairness,
             latch_next_exprs=dict(self._latch_next),
+            next_functions=next_functions,
         )
 
 

@@ -20,7 +20,9 @@ monotone rebuild.
 Construction goes through :class:`~repro.fsm.builder.CircuitBuilder` (for
 circuits) or :func:`~repro.fsm.explicit.ExplicitGraph.to_fsm` (for explicit
 state graphs); this class only assumes a relation, not functional
-next-state logic.
+next-state logic.  Partitioned mode also takes each latch's next-state
+function, and computes preimages by one simultaneous substitution of
+them instead of a relational product.
 """
 
 from __future__ import annotations
@@ -79,11 +81,12 @@ class FSM:
     partition:
         Optional :class:`~repro.fsm.partition.TransitionPartition` — the
         per-latch relation conjuncts with early-quantification schedules.
-        Required for ``trans_mode="partitioned"``.
+        Required, with ``next_functions``, for ``trans_mode="partitioned"``.
     trans_mode:
         How images are executed: ``"partitioned"`` (the default when a
-        partition is available) runs the scheduled ``and_exists`` chain;
-        ``"mono"`` uses the single relation BDD.
+        partition is available) runs the scheduled ``and_exists`` chain
+        for images and a substitution of ``next_functions`` for
+        preimages; ``"mono"`` uses the single relation BDD for both.
     init:
         The initial state set over current variables.
     signals:
@@ -100,6 +103,11 @@ class FSM:
     latch_next_exprs:
         Optional next-state expression for every non-input state variable
         (enables explicit enumeration; relation-built FSMs leave it None).
+    next_functions:
+        Optional next-state function (a BDD over current variables) for
+        every latch, the ``f`` of its conjunct ``latch#next <-> f``.
+        Partitioned mode computes preimages by substituting them (see
+        :meth:`preimage`); relation-built FSMs leave it None.
     """
 
     #: The telemetry this machine reports phase spans to.  A class-level
@@ -122,6 +130,7 @@ class FSM:
         words: Optional[WordTable] = None,
         fairness: Optional[List[Function]] = None,
         latch_next_exprs: Optional[Dict[str, Expr]] = None,
+        next_functions: Optional[Dict[str, Function]] = None,
         partition: Optional[TransitionPartition] = None,
         trans_mode: Optional[str] = None,
     ):
@@ -139,9 +148,12 @@ class FSM:
         if trans_mode is None:
             trans_mode = TRANS_PARTITIONED if partition is not None else TRANS_MONO
         validate_trans_mode(trans_mode)
-        if trans_mode == TRANS_PARTITIONED and partition is None:
+        if trans_mode == TRANS_PARTITIONED and (
+            partition is None or next_functions is None
+        ):
             raise ModelError(
-                f"FSM {name!r}: partitioned mode requires a partition"
+                f"FSM {name!r}: partitioned mode requires a partition and "
+                f"next_functions"
             )
         self.trans_mode = trans_mode
         self.init = init
@@ -167,6 +179,18 @@ class FSM:
         self._next_to_cur = {
             self.next_ids[v]: self.current_ids[v] for v in self.state_vars
         }
+        self._input_ids = [self.current_ids[v] for v in self.inputs]
+        self._substitution: Dict[int, Function] = {}
+        if next_functions is not None:
+            if set(next_functions) != set(self.latches):
+                raise ModelError(
+                    f"FSM {name!r}: next_functions must name exactly the "
+                    f"latches {self.latches}"
+                )
+            self._substitution = {
+                self.current_ids[latch]: fn
+                for latch, fn in next_functions.items()
+            }
         self._reachable: Optional[Function] = None
         self._rings: Optional[List[Function]] = None
 
@@ -293,14 +317,23 @@ class FSM:
     def preimage(self, states: Function) -> Function:
         """One-step backward image (states with some successor in ``states``).
 
-        Partitioning pays off most here: each conjunct mentions exactly one
-        next-state variable, so every chain step retires one quantified
-        variable immediately (free-input next copies never even enter the
-        product — they are quantified out of the renamed set up front).
+        A partitioned machine knows each latch's next-state function
+        ``f``, so its preimage is a substitution::
+
+            pre(S) = exists X' . (S[X := X'] & AND_l (l' <-> f_l))
+                   = (exists inputs . S)[l := f_l for every latch l]
+
+        Free inputs have unconstrained next values, so they are quantified
+        out of ``S``; every latch is then replaced by its next-state
+        function in one simultaneous composition.  There is no rename to
+        next-state variables and no relational product.  Mono machines
+        (circuits built with ``trans="mono"`` and explicit graphs) run the
+        relational product ``exists X' . (S' & TM)``; they are the
+        reference the substitution is checked against.
         """
-        over_next = states.rename(self._cur_to_next)
         if self.trans_mode == TRANS_PARTITIONED:
-            return self.partition.relprod(over_next, self._next_list)
+            return states.exist(self._input_ids).compose(self._substitution)
+        over_next = states.rename(self._cur_to_next)
         return self.transition.and_exists(over_next, self._next_list)
 
     def reachable_from(self, start: Function) -> Function:

@@ -25,6 +25,16 @@ Two pieces live here:
   set.  :meth:`TransitionPartition.relprod` executes the chain via
   :meth:`repro.bdd.manager.BDDManager.and_exists_chain`.
 
+A schedule step that quantifies nothing only grows the product, which the
+next step then walks again.  ``relprod`` therefore runs a *merged* chain:
+each such step is conjoined into the step after it, as long as the merged
+relation stays no larger than the conjuncts it replaces
+(:meth:`TransitionPartition.merged_steps`).
+
+An FSM runs its forward images through the partition.  Its preimages go
+by substitution of the next-state functions instead
+(:meth:`repro.fsm.fsm.FSM.preimage`).
+
 Schedules are expressed in *variable ids* (stable across dynamic
 reordering), so a partition built once stays valid after sifting.
 """
@@ -43,6 +53,7 @@ __all__ = [
     "TRANS_MODES",
     "ScheduleStep",
     "Schedule",
+    "MergedStep",
     "early_quantification_schedule",
     "TransitionPartition",
 ]
@@ -101,6 +112,21 @@ class Schedule:
         for step in self.steps:
             out.update(step.quantify)
         return frozenset(out)
+
+
+@dataclass(frozen=True)
+class MergedStep:
+    """One step of the chain :meth:`TransitionPartition.relprod` runs.
+
+    ``relation`` is the conjunction of the conjuncts listed in ``members``
+    (indices, in schedule order); ``quantify`` is what the last member's
+    schedule step quantifies — every earlier member's step quantified
+    nothing.
+    """
+
+    members: Tuple[int, ...]
+    relation: Function
+    quantify: Tuple[int, ...]
 
 
 def _order_conjuncts(
@@ -186,9 +212,9 @@ class TransitionPartition:
 
     Holds one relation conjunct per latch (``latch#next <-> f(current)``
     for functional circuits, but any conjunction of relations works) and
-    lazily computes/caches an early-quantification schedule per distinct
-    quantification variable set (one for images, one for preimages, in
-    practice).
+    lazily computes/caches an early-quantification schedule, and its
+    merged chain, per distinct quantification variable set (in practice
+    one, for images: preimages go by substitution).
 
     Parameters
     ----------
@@ -225,6 +251,7 @@ class TransitionPartition:
             frozenset(conjunct.support()) for conjunct in self.conjuncts
         ]
         self._schedules: Dict[FrozenSet[int], Schedule] = {}
+        self._merged: Dict[FrozenSet[int], Tuple[MergedStep, ...]] = {}
         self._mono: Optional[Function] = None
 
     def __len__(self) -> int:
@@ -243,20 +270,55 @@ class TransitionPartition:
             self._schedules[key] = cached
         return cached
 
+    def merged_steps(self, quantify: Sequence[int]) -> Tuple[MergedStep, ...]:
+        """The schedule for ``quantify`` with empty steps merged (cached).
+
+        A step that quantifies nothing is conjoined into the step after it:
+        ``exists Q . ((acc & Ti) & Tj) = exists Q . (acc & (Ti & Tj))``.  A
+        merge is kept only while the merged relation has no more nodes than
+        its members have together, so no merged step is larger than the
+        conjuncts it stands for; a merge that would grow is not made, and
+        the next merge starts from the rejected conjunct.
+        """
+        key = frozenset(quantify)
+        cached = self._merged.get(key)
+        if cached is not None:
+            return cached
+        steps: List[MergedStep] = []
+        members: Tuple[int, ...] = ()
+        relation: Optional[Function] = None
+        members_size = 0
+        for step in self.schedule(key).steps:
+            conjunct = self.conjuncts[step.conjunct]
+            size = conjunct.size()
+            merged = relation & conjunct if relation is not None else None
+            if merged is not None and merged.size() <= members_size + size:
+                members += (step.conjunct,)
+                relation, members_size = merged, members_size + size
+            else:
+                if relation is not None:
+                    steps.append(MergedStep(members, relation, ()))
+                members, relation, members_size = (step.conjunct,), conjunct, size
+            if step.quantify:
+                steps.append(MergedStep(members, relation, step.quantify))
+                relation = None
+        if relation is not None:
+            steps.append(MergedStep(members, relation, ()))
+        cached = self._merged[key] = tuple(steps)
+        return cached
+
     def relprod(self, states: Function, quantify: Sequence[int]) -> Function:
         """``exists quantify . (states & T1 & ... & Tk)`` via the schedule.
 
-        The workhorse behind partitioned :meth:`repro.fsm.fsm.FSM.image`
-        and :meth:`~repro.fsm.fsm.FSM.preimage`.
+        The workhorse behind partitioned :meth:`repro.fsm.fsm.FSM.image`.
+        Runs the merged chain of :meth:`merged_steps`.
         """
         schedule = self.schedule(quantify)
         if schedule.prequantify:
             states = states.exist(schedule.prequantify)
-        steps = [
-            (self.conjuncts[step.conjunct], step.quantify)
-            for step in schedule.steps
-        ]
-        return states.and_exists_chain(steps)
+        return states.and_exists_chain(
+            [(step.relation, step.quantify) for step in self.merged_steps(quantify)]
+        )
 
     def monolithic(self) -> Function:
         """The conjunction of all conjuncts (cached).

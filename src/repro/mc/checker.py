@@ -13,9 +13,10 @@ computed during verification can be reused during coverage estimation
 
 Every path quantifier bottoms out in :meth:`FSM.preimage`, so the checker
 transparently inherits the FSM's transition-relation mode: on a
-partitioned machine (the default) each ``EX`` step runs the scheduled
-early-quantification chain instead of one product against a monolithic
-relation BDD — see :mod:`repro.fsm.partition` and ``docs/performance.md``.
+partitioned circuit (the default) each ``EX`` step is one substitution of
+the latches' next-state functions instead of a product against a
+monolithic relation BDD — see :meth:`repro.fsm.fsm.FSM.preimage` and
+``docs/performance.md``.
 """
 
 from __future__ import annotations

@@ -36,6 +36,8 @@ from __future__ import annotations
 
 import os
 import signal
+import threading
+import time
 from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from typing import Dict
@@ -55,6 +57,9 @@ __all__ = [
 
 #: Jobs each worker handles before the pool recycles (times ``workers``).
 DEFAULT_RECYCLE_AFTER = 64
+
+#: Seconds between a worker's checks that its server is still alive.
+PARENT_POLL_SECONDS = 0.5
 
 #: Payload kind that makes a worker die on purpose (exercises the crash →
 #: 500 → respawn path).  Only honoured when the server was started with
@@ -132,7 +137,8 @@ def job_from_payload(payload: Dict) -> CoverageJob:
 
 
 def _worker_init() -> None:
-    """Reset inherited signal state in a freshly forked worker.
+    """Reset inherited signal state in a freshly forked worker, and tie
+    the worker's life to its server's.
 
     The server parent registers asyncio signal handlers, which install a
     ``signal.set_wakeup_fd`` self-pipe.  A forked worker inherits both —
@@ -142,10 +148,27 @@ def _worker_init() -> None:
     itself down.  Workers therefore detach from the wakeup fd, take the
     default SIGTERM disposition, and ignore SIGINT (terminal Ctrl-C goes
     to the whole process group; shutdown is the parent's decision).
+
+    A server killed outright (SIGKILL, OOM) never shuts its pool down,
+    and a forked worker holds both ends of its own job queue, so it would
+    wait for work forever.  A daemon thread therefore watches the parent
+    pid and ends the worker once the server is gone.
     """
     signal.set_wakeup_fd(-1)
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
     signal.signal(signal.SIGINT, signal.SIG_IGN)
+    threading.Thread(
+        target=_exit_with_parent, args=(os.getppid(),),
+        name="repro-serve-parent-watch", daemon=True,
+    ).start()
+
+
+def _exit_with_parent(parent: int) -> None:
+    """End this worker once its parent ``parent`` has exited (the worker
+    is then re-parented, so ``getppid`` changes)."""
+    while os.getppid() == parent:
+        time.sleep(PARENT_POLL_SECONDS)
+    os._exit(1)
 
 
 def analyze_payload(payload: Dict, module=None) -> Dict:

@@ -135,6 +135,31 @@ class TestStateHelpers:
         assert fsm.count_states(fsm.empty_set()) == 0
 
 
+class TestConstruction:
+    def _rebuild(self, fsm, **overrides):
+        from repro.fsm import FSM
+
+        kwargs = dict(
+            manager=fsm.manager, name=fsm.name, state_vars=fsm.state_vars,
+            inputs=fsm.inputs, init=fsm.init, signals=fsm.signals,
+            partition=fsm.partition,
+            next_functions={v: fsm.signal(v) for v in fsm.latches},
+        )
+        kwargs.update(overrides)
+        return FSM(**kwargs)
+
+    def test_partitioned_mode_needs_next_functions(self):
+        fsm = build_chain(3)
+        assert self._rebuild(fsm).trans_mode == "partitioned"
+        with pytest.raises(ModelError, match="next_functions"):
+            self._rebuild(fsm, next_functions=None)
+
+    def test_next_functions_must_cover_exactly_the_latches(self):
+        fsm = build_chain(3)
+        with pytest.raises(ModelError, match="exactly the latches"):
+            self._rebuild(fsm, next_functions={"p0": fsm.signal("p0")})
+
+
 class TestSymbolizeFlip:
     def test_flip_negates_signal_occurrences(self):
         fsm = build_chain(3)

@@ -9,6 +9,7 @@ import re
 import signal
 import subprocess
 import sys
+import time
 import urllib.error
 import urllib.request
 from pathlib import Path
@@ -42,8 +43,42 @@ def serve_process(tmp_path):
     assert match, f"no listening banner in {banner!r}"
     yield proc, match.group(0)
     if proc.poll() is None:
-        proc.kill()
-        proc.wait(timeout=30)
+        # A graceful stop first: SIGTERM shuts the worker pool down with
+        # the server.  SIGKILL only if that does not finish in time.
+        proc.terminate()
+        try:
+            proc.wait(timeout=30)
+        except subprocess.TimeoutExpired:
+            proc.kill()
+            proc.wait(timeout=30)
+
+
+def _proc_stat(pid: int):
+    """``(state, ppid)`` of a live process from ``/proc``, else None."""
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            stat = handle.read()
+    except OSError:
+        return None
+    # The command name may contain spaces; the fields after it do not.
+    state, ppid = stat.rpartition(")")[2].split()[:2]
+    return state, int(ppid)
+
+
+def _children(parent: int):
+    """Pids of the live (non-zombie) processes whose parent is ``parent``."""
+    out = []
+    for entry in os.listdir("/proc"):
+        if entry.isdigit():
+            stat = _proc_stat(int(entry))
+            if stat is not None and stat[0] != "Z" and stat[1] == parent:
+                out.append(int(entry))
+    return out
+
+
+def _alive(pid: int) -> bool:
+    stat = _proc_stat(pid)
+    return stat is not None and stat[0] != "Z"
 
 
 def post(url: str, document) -> dict:
@@ -91,6 +126,28 @@ class TestServeSubprocess:
         proc.send_signal(signal.SIGTERM)
         assert proc.wait(timeout=30) == 0
         assert "shutting down" in proc.stdout.read()
+
+    @pytest.mark.skipif(
+        not os.path.isdir("/proc"), reason="needs /proc to list processes"
+    )
+    def test_sigkilled_server_takes_its_workers_with_it(self, serve_process):
+        proc, url = serve_process
+        # One analysis makes the pool fork its workers.
+        assert post(url, {"target": "counter", "stage": "full"})["result"][
+            "status"
+        ] == "ok"
+        workers = _children(proc.pid)
+        assert len(workers) >= 2, workers
+
+        proc.kill()
+        proc.wait(timeout=30)
+        deadline = time.monotonic() + 15
+        while time.monotonic() < deadline and any(map(_alive, workers)):
+            time.sleep(0.1)
+        survivors = [pid for pid in workers if _alive(pid)]
+        for pid in survivors:  # do not leak them past a failure
+            os.kill(pid, signal.SIGKILL)
+        assert survivors == []
 
     def test_run_and_suite_thin_clients(self, serve_process, tmp_path):
         proc, url = serve_process
