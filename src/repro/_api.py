@@ -1,5 +1,9 @@
-"""Aggregated public API, lazily re-exported as the top-level ``repro``
-namespace (see ``repro/__init__.py``)."""
+"""The public API imported eagerly, in one module.
+
+``repro`` itself resolves each of these names lazily, from the owning
+module its ``_EXPORTS`` table names (see ``repro/__init__.py``), so
+``repro.Analysis`` does not import the server or the fuzzer.
+``tests/test_api.py`` checks that the two agree, name for name."""
 
 from .analysis import Analysis, AnalysisResult
 from .bdd import (

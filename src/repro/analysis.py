@@ -42,10 +42,10 @@ reused fixpoints from verification.
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass, field, fields
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Union
 
+from ._node import InitVar, field, fields, record
 from .coverage import CoverageEstimator, CoverageReport, format_uncovered_traces
 from .ctl.ast import CtlFormula
 from .engine import EngineConfig, _warn_deprecated
@@ -62,7 +62,7 @@ KIND_RML = "rml"
 KIND_CUSTOM = "custom"
 
 
-@dataclass
+@record
 class AnalysisResult:
     """JSON-safe outcome of one analysis — primitives only, so it survives
     both pickling back from a worker process and JSON serialisation.

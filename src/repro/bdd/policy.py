@@ -20,12 +20,12 @@ stress suite runs entire coverage workloads that way.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from .._node import record, replace
 
 __all__ = ["ResourcePolicy", "DEFAULT_POLICY"]
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ResourcePolicy:
     """Thresholds and switches of the automatic resource manager.
 

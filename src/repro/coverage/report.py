@@ -8,9 +8,9 @@ traces leading to them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, List
 
+from .._node import field, record
 from ..bdd import Function
 from ..ctl.ast import CtlFormula
 from ..fsm.fsm import FSM
@@ -19,7 +19,7 @@ from ..mc.stats import WorkStats
 __all__ = ["PropertyCoverage", "CoverageReport"]
 
 
-@dataclass
+@record
 class PropertyCoverage:
     """Coverage contribution of a single verified property."""
 
@@ -30,7 +30,7 @@ class PropertyCoverage:
     stats: WorkStats
 
 
-@dataclass
+@record
 class CoverageReport:
     """Result of estimating coverage of a property suite for observed signals.
 

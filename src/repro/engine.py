@@ -15,9 +15,10 @@ codec —
   (the CLI's three subcommands share one parent parser built from it);
 * ``to_json`` / ``from_json`` for the suite report
   (``repro-coverage-suite/v2`` embeds one config per job);
-* plain dataclass pickling for ``ProcessPoolExecutor`` fan-out.
+* plain record pickling (:func:`~repro._node.record`) for
+  ``ProcessPoolExecutor`` fan-out.
 
-Adding a knob is now one dataclass field plus its entry in the four codec
+Adding a knob is now one record field plus its entry in the four codec
 methods below — no other layer changes.
 
 The config is deliberately higher-level than
@@ -39,9 +40,9 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass, fields, replace
 from typing import Dict, List, Optional
 
+from ._node import fields, record, replace
 from .bdd.backends import BACKEND_DICT, BACKEND_NAMES
 from .errors import ConfigError
 from .obs.telemetry import TELEMETRY_LEVELS, TELEMETRY_OFF
@@ -62,7 +63,7 @@ TRANS_PARTITIONED = "partitioned"
 #: The valid transition-relation execution modes.
 TRANS_MODES = (TRANS_MONO, TRANS_PARTITIONED)
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class EngineConfig:
     """The analysis engine's configuration, as one immutable value.
 

@@ -22,9 +22,9 @@ The tokenizer is shared with the CTL parser (:mod:`repro.ctl.parser`).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import List, Optional, Union
 
+from .._node import record
 from ..errors import ParseError
 from .ast import (
     And,
@@ -61,7 +61,7 @@ _KEYWORD_OPS = {
 _CONSTS = {"true": True, "false": False}
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Token:
     """One lexical token with its source position (for error messages)."""
 
@@ -74,14 +74,15 @@ def tokenize(text: str) -> List[Token]:
     """Tokenise ``text``; raises :class:`ParseError` on illegal characters."""
     tokens: List[Token] = []
     pos = 0
-    while pos < len(text):
+    end = len(text)
+    while pos < end:
         match = _TOKEN_RE.match(text, pos)
         if match is None:
             raise ParseError(
                 f"illegal character {text[pos]!r} at position {pos}", text, pos
             )
-        if match.lastgroup != "ws":
-            kind = match.lastgroup
+        kind = match.lastgroup
+        if kind != "ws":
             tokens.append(Token(kind, match.group(), pos))
         pos = match.end()
     tokens.append(Token("eof", "", len(text)))
@@ -105,16 +106,20 @@ class _Cursor:
             self.index += 1
         return token
 
+    # ``accept`` and ``accept_keyword`` run for nearly every token, so they
+    # index the stream directly; a matched op or ident is never eof.
     def accept(self, text: str) -> Optional[Token]:
-        token = self.peek()
+        token = self.tokens[self.index]
         if token.kind == "op" and token.text == text:
-            return self.advance()
+            self.index += 1
+            return token
         return None
 
     def accept_keyword(self, word: str) -> Optional[Token]:
-        token = self.peek()
+        token = self.tokens[self.index]
         if token.kind == "ident" and token.text.lower() == word:
-            return self.advance()
+            self.index += 1
+            return token
         return None
 
     def expect(self, text: str) -> Token:

@@ -24,7 +24,17 @@ from typing import Dict, List, Optional, Sequence, Union
 from ..bdd import BDDManager, Function, ResourcePolicy
 from ..engine import EngineConfig, _coalesce_trans
 from ..errors import ModelError
-from ..expr.ast import Expr, Var
+from ..expr.ast import (
+    And as EAnd,
+    Const,
+    Expr,
+    Iff as EIff,
+    Implies as EImplies,
+    Not as ENot,
+    Or as EOr,
+    Var,
+    Xor as EXor,
+)
 from ..expr.bitvector import WordTable, int_to_bits, resolve_words
 from ..expr.parser import parse_expr
 from .fsm import FSM, NEXT_SUFFIX
@@ -309,16 +319,6 @@ class CircuitBuilder:
 
 def _symbolize(manager: BDDManager, expr: Expr, signal_fn) -> Function:
     """Translate a word-free expression using ``signal_fn`` for atoms."""
-    from ..expr.ast import (
-        And as EAnd,
-        Const,
-        Iff as EIff,
-        Implies as EImplies,
-        Not as ENot,
-        Or as EOr,
-        Xor as EXor,
-    )
-
     if isinstance(expr, Const):
         return Function.true(manager) if expr.value else Function.false(manager)
     if isinstance(expr, Var):

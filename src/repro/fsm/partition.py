@@ -41,9 +41,9 @@ reordering), so a partition built once stays valid after sifting.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
+from .._node import record
 from ..bdd import Function
 from ..errors import ModelError
 
@@ -79,7 +79,7 @@ def validate_trans_mode(trans: str) -> str:
     return trans
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ScheduleStep:
     """One step of an early-quantification schedule.
 
@@ -92,7 +92,7 @@ class ScheduleStep:
     quantify: Tuple[int, ...]
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Schedule:
     """A complete schedule for one quantification variable set.
 
@@ -114,7 +114,7 @@ class Schedule:
         return frozenset(out)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class MergedStep:
     """One step of the chain :meth:`TransitionPartition.relprod` runs.
 

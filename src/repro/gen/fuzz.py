@@ -23,10 +23,10 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from .._node import field, record
 from .._version import __version__
 from ..lang.printer import module_to_str
 from .model import DEFAULT_PARAMS, GenParams, generate
@@ -51,7 +51,7 @@ def case_key(seed: int, index: int) -> str:
     return f"{seed}:{index}"
 
 
-@dataclass
+@record
 class FuzzFinding:
     """One disagreement, with its shrunken reproducer."""
 
@@ -90,7 +90,7 @@ class FuzzFinding:
         }
 
 
-@dataclass
+@record
 class FuzzResult:
     """Outcome of one fuzz campaign (JSON-ready)."""
 

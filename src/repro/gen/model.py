@@ -30,9 +30,9 @@ printer/parser pair instead of the generator's whims.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, fields, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from .._node import fields, record, replace
 from ..ctl.ast import (
     AF,
     AG,
@@ -82,7 +82,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class GenParams:
     """Knobs of the random-model generator — one frozen, picklable value.
 
@@ -288,7 +288,7 @@ def random_graph(
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class GeneratedModel:
     """One generated scenario: canonical module AST + its ``.rml`` text.
 

@@ -43,9 +43,9 @@ expected/actual renderings) to drive the shrinker and the fuzz report.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
 
+from .._node import record
 from ..analysis import Analysis
 from ..coverage.mutation import mutation_covered
 from ..engine import EngineConfig
@@ -111,7 +111,7 @@ _ENUM_LIMIT = 50_000
 MUTATION_STATE_CAP = 64
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Disagreement:
     """One observed divergence between engine configurations.
 

@@ -27,9 +27,9 @@ shrunken reproducer is a function of the original module alone.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Callable, Iterator, Optional, Set, Union
 
+from .._node import replace
 from ..ctl.ast import AF, AG, AU, AX, Atom, CtlAnd, CtlFormula, CtlImplies, formula_atoms
 from ..errors import ReproError
 from ..expr.ast import Const, Expr

@@ -16,15 +16,15 @@ parse -> print -> parse round trip yields an *equal* module even though the
 re-parsed positions differ.  The right-hand-side nodes (word expressions
 and ``case`` blocks) are :class:`~repro._node.Node` subclasses like the
 expression AST they nest in; the declarations, which carry defaulted
-fields and positions that never compare, stay dataclasses.
+fields and positions that never compare, are frozen
+:func:`~repro._node.record` classes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional, Tuple, Union
 
-from .._node import Node
+from .._node import Node, field, record
 from ..ctl.ast import CtlFormula
 from ..expr.ast import Expr
 
@@ -119,7 +119,7 @@ class Case(Node):
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class VarDecl:
     """``name : boolean;`` or ``name : word[width];``.
 
@@ -137,7 +137,7 @@ class VarDecl:
         return self.width is not None
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class InitAssign:
     """``init(x) := value;`` — reset value of a latch (int; 0/1 for bits)."""
 
@@ -147,7 +147,7 @@ class InitAssign:
     column: int = field(default=0, compare=False)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class NextAssign:
     """``next(x) := value;`` — next-state logic of a latch."""
 
@@ -157,7 +157,7 @@ class NextAssign:
     column: int = field(default=0, compare=False)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class DefineDecl:
     """``name := expr;`` under ``DEFINE`` — a combinational signal.
 
@@ -171,7 +171,7 @@ class DefineDecl:
     column: int = field(default=0, compare=False)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class SpecDecl:
     """``SPEC formula;`` — an ACTL property to verify and cover."""
 
@@ -180,7 +180,7 @@ class SpecDecl:
     column: int = field(default=0, compare=False)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class FairnessDecl:
     """``FAIRNESS expr;`` — a constraint holding infinitely often."""
 
@@ -189,7 +189,7 @@ class FairnessDecl:
     column: int = field(default=0, compare=False)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Module:
     """One parsed ``.rml`` module."""
 

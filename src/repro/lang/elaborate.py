@@ -21,9 +21,9 @@ the offending text rather than at library internals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Union
 
+from .._node import field, record
 from ..ctl.ast import CtlFormula, formula_atoms
 from ..errors import ParseError
 from ..expr.arith import add_const_bits, add_words_bits, const_bits, mux
@@ -49,7 +49,7 @@ if TYPE_CHECKING:
 __all__ = ["ElaboratedModel", "elaborate"]
 
 
-@dataclass
+@record
 class ElaboratedModel:
     """The executable form of a module: FSM plus coverage inputs."""
 

@@ -33,10 +33,10 @@ parser needs the target's type to pick the boolean or word value grammar);
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, List, Optional, Sequence, Set, Union
 
+from .._node import record
 from ..ctl.parser import parse_ctl
 from ..errors import ParseError
 from ..expr.ast import Expr
@@ -78,7 +78,7 @@ SECTION_KEYWORDS = frozenset(
 )
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class LangToken:
     """One module-language token with its 1-based source location."""
 
@@ -94,7 +94,8 @@ def tokenize_module(text: str, filename: Optional[str] = None) -> List[LangToken
     pos = 0
     line = 1
     line_start = 0
-    while pos < len(text):
+    end = len(text)
+    while pos < end:
         match = _TOKEN_RE.match(text, pos)
         if match is None:
             raise ParseError(
@@ -107,14 +108,14 @@ def tokenize_module(text: str, filename: Optional[str] = None) -> List[LangToken
                 filename=filename,
             )
         kind = match.lastgroup
-        if kind not in ("ws", "comment"):
-            tokens.append(
-                LangToken(kind, match.group(), line, pos - line_start + 1)
-            )
-        newlines = match.group().count("\n")
-        if newlines:
-            line += newlines
-            line_start = pos + match.group().rfind("\n") + 1
+        value = match.group()
+        if kind == "ws":  # the only token that can span lines
+            newlines = value.count("\n")
+            if newlines:
+                line += newlines
+                line_start = pos + value.rfind("\n") + 1
+        elif kind != "comment":
+            tokens.append(LangToken(kind, value, line, pos - line_start + 1))
         pos = match.end()
     tokens.append(LangToken("eof", "", line, len(text) - line_start + 1))
     return tokens
@@ -133,7 +134,10 @@ class _ModuleParser:
     # -- token-stream helpers -------------------------------------------
 
     def peek(self, ahead: int = 0) -> LangToken:
-        return self.tokens[min(self.index + ahead, len(self.tokens) - 1)]
+        try:
+            return self.tokens[self.index + ahead]
+        except IndexError:  # looking past the end: the eof token
+            return self.tokens[-1]
 
     def advance(self) -> LangToken:
         token = self.tokens[self.index]

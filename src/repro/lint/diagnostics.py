@@ -10,8 +10,9 @@ with rationale lives in ``docs/linting.md``.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
+
+from .._node import field, record
 
 __all__ = [
     "Severity",
@@ -49,7 +50,7 @@ class Severity(enum.IntEnum):
             ) from None
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class CodeInfo:
     """One registered diagnostic code: identity, default severity, summary."""
 
@@ -106,7 +107,7 @@ DIAGNOSTIC_CODES: Tuple[CodeInfo, ...] = (
 CODE_INDEX: Dict[str, CodeInfo] = {info.code: info for info in DIAGNOSTIC_CODES}
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Diagnostic:
     """One finding: a coded message anchored to a source location.
 
@@ -164,7 +165,7 @@ class Diagnostic:
         }
 
 
-@dataclass
+@record
 class LintReport:
     """The outcome of linting one or more modules.
 

@@ -16,9 +16,9 @@ paper's "looks done, isn't" failure mode caught before any BDD work.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
+from .._node import field, record
 from ..ctl.ast import (
     AU,
     EU,
@@ -69,7 +69,7 @@ from .symbols import KIND_INPUT, KIND_LATCH, SymbolTable
 __all__ = ["LintContext", "run_rules"]
 
 
-@dataclass
+@record
 class LintContext:
     """Shared state for one module's rule run."""
 

@@ -8,9 +8,9 @@ the :class:`~repro.lang.ast.Module` AST alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
+from .._node import record
 from ..lang.ast import Module, WordSum
 
 __all__ = ["Symbol", "SymbolTable", "KIND_INPUT", "KIND_LATCH", "KIND_DEFINE"]
@@ -20,7 +20,7 @@ KIND_LATCH = "latch"
 KIND_DEFINE = "define"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Symbol:
     """One top-level declared name."""
 

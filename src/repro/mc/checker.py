@@ -21,9 +21,9 @@ monolithic relation BDD — see :meth:`repro.fsm.fsm.FSM.preimage` and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional
 
+from .._node import record
 from ..bdd import Function
 from ..ctl.actl import desugar_af
 from ..ctl.ast import (
@@ -51,7 +51,7 @@ from .stats import WorkMeter, WorkStats
 __all__ = ["ModelChecker", "CheckResult"]
 
 
-@dataclass
+@record
 class CheckResult:
     """Outcome of checking one property.
 

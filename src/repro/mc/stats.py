@@ -23,15 +23,15 @@ bench`` baselines) shares.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from typing import Dict, Optional
 
+from .._node import record
 from ..bdd import BDDManager
 
 __all__ = ["WorkStats", "WorkMeter"]
 
 
-@dataclass
+@record
 class WorkStats:
     """Cost of one measured phase."""
 

@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass
 from pathlib import Path
 from typing import (
     TYPE_CHECKING,
@@ -44,6 +43,8 @@ from typing import (
     Tuple,
     Union,
 )
+
+from .._node import record
 
 if TYPE_CHECKING:  # engine imports obs.telemetry — keep this edge lazy
     from ..engine import EngineConfig
@@ -93,7 +94,7 @@ _OP_KINDS = (
 DEFAULT_BACKEND = "dict"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class BenchWorkload:
     """One registered benchmark: a named analysis construction."""
 
@@ -247,7 +248,7 @@ BENCH_WORKLOADS: Dict[str, BenchWorkload] = {
 }
 
 
-@dataclass
+@record
 class BenchResult:
     """One workload's measured run — the in-memory form of a baseline."""
 

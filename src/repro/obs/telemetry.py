@@ -46,9 +46,9 @@ manager's counters start at zero.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from .._node import field, record
 from ..errors import ConfigError
 
 __all__ = [
@@ -76,7 +76,7 @@ TELEMETRY_SPANS = "spans"
 TELEMETRY_LEVELS = (TELEMETRY_OFF, TELEMETRY_COUNTERS, TELEMETRY_SPANS)
 
 
-@dataclass
+@record
 class Span:
     """One recorded phase: name, position in the tree, cost."""
 

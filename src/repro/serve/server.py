@@ -57,10 +57,10 @@ import asyncio
 import hashlib
 import json
 from collections import OrderedDict
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Optional, Tuple, Union
 
+from .._node import record
 from .._version import __version__
 from ..errors import ConfigError, ParseError, ServeError
 from ..obs.counters import counter_inc, counters_snapshot
@@ -96,7 +96,7 @@ _REASONS = {
 _KIND_CRASH = "__crash__"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ServeOptions:
     """Everything ``repro serve`` is configured by (CLI flags mirror this)."""
 

@@ -15,9 +15,9 @@ readable as deprecated properties; both warn and delegate to ``config``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional
 
+from .._node import field, record
 from ..analysis import AnalysisResult
 from ..engine import _UNSET, EngineConfig, _coalesce_flat, _warn_deprecated
 
@@ -32,7 +32,7 @@ KIND_RML = "rml"
 JobResult = AnalysisResult
 
 
-@dataclass(frozen=True, init=False)
+@record(frozen=True, init=False)
 class CoverageJob:
     """One (model, property stage, engine config) unit of work.
 

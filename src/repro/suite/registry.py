@@ -17,10 +17,10 @@ pre-config flat keywords (``trans=``, ``policy=``, ``gc_threshold=``,
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple
 
+from .._node import record
 from ..circuits import (
     build_circular_queue,
     build_counter,
@@ -131,7 +131,7 @@ def _pipeline(
     return fsm, props, "output", "!out_valid"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class BuiltinTarget:
     """One registered built-in circuit/signal target."""
 

@@ -97,11 +97,14 @@ def preload_job_imports() -> None:
     parent that calls this before it builds a pool hands every worker —
     fresh or recycled — the analysis stack already imported; otherwise
     each worker pays for those imports inside its first job.  This module
-    imports :mod:`repro.analysis` itself; the ``.rml`` front end and the
-    builtin registry load lazily inside :meth:`Analysis.from_job
-    <repro.analysis.Analysis.from_job>`, so they are named here.
+    imports :mod:`repro.analysis` itself; the ``.rml`` front end, the
+    linter ``execute_job(include_lint=True)`` runs on every ``.rml`` job,
+    and the builtin registry load lazily inside :meth:`Analysis.from_job
+    <repro.analysis.Analysis.from_job>` and :meth:`Analysis.lint
+    <repro.analysis.Analysis.lint>`, so they are named here.
     """
     from ..lang import elaborate, parse_module  # noqa: F401
+    from ..lint import lint_module  # noqa: F401
     from .registry import build_builtin  # noqa: F401
 
 

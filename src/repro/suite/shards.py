@@ -45,9 +45,9 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
+from .._node import record
 from ..errors import ConfigError
 from ..obs.counters import counter_inc
 
@@ -94,7 +94,7 @@ def default_shard_count(count: int, max_workers: int) -> int:
     return max(1, min(count, _SHARDS_PER_WORKER * max(1, max_workers)))
 
 
-@dataclass
+@record
 class ShardStats:
     """What one sharded run did — the resilience telemetry, as a value.
 
@@ -140,7 +140,7 @@ def _run_shard(payload) -> Tuple[int, float, List[Tuple[int, Any]]]:
     return os.getpid(), time.perf_counter() - started, out
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class _Shard:
     index: int
     start: int

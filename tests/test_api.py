@@ -16,6 +16,14 @@ def test_every_public_name_resolves():
         assert getattr(repro, name) is getattr(_api, name)
 
 
+def test_lazy_table_lists_exactly_the_eager_api():
+    # ``repro`` resolves names from its own name -> module table; the
+    # eager ``repro._api`` aggregate must list the same names, in order.
+    from repro import _api
+
+    assert repro.__all__ == ["__version__", *_api.__all__]
+
+
 def test_dir_lists_public_names():
     names = dir(repro)
     for expected in ("CoverageEstimator", "ModelChecker", "BDDManager",

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from repro._node import Node
+from repro._node import Node, fields
 from repro.ctl import ast as ctl_ast, parse_ctl
 from repro.ctl.transform import observability_transform
 from repro.errors import NotInSubsetError
@@ -86,8 +86,12 @@ def walk(value):
     elif isinstance(value, tuple):
         for child in value:
             yield from walk(child)
-    elif dataclasses.is_dataclass(value):
-        for field in dataclasses.fields(value):
+    else:
+        try:
+            record_fields = fields(value)
+        except TypeError:  # a leaf value, not a record
+            return
+        for field in record_fields:
             yield from walk(getattr(value, field.name))
 
 

@@ -128,3 +128,28 @@ def test_cold_import_allowlist_is_scoped():
     assert applies("src/repro/suite/runner.py")
     assert applies("src/repro/cli.py")
     assert not applies("tests/test_cli.py")
+
+
+def test_dataclasses_import_flags_module_level_only(tmp_path):
+    """Records replace dataclasses everywhere under ``src/repro``; only an
+    error path may import the module, inside a function."""
+    checker = _load_checker()
+    module = tmp_path / "module.py"
+    module.write_text(
+        "import dataclasses\n"
+        "from dataclasses import dataclass, field\n"
+        "def raise_frozen(name):\n"
+        "    from dataclasses import FrozenInstanceError\n"
+        "    raise FrozenInstanceError(name)\n"
+    )
+    violations = checker.check_dataclasses_import(
+        checker.ast.parse(module.read_text()), module
+    )
+    assert [(v.line, v.rule) for v in violations] == [
+        (1, "dataclasses-import"),
+        (2, "dataclasses-import"),
+    ]
+    _, _, applies = next(r for r in checker.RULES if r[0] == "dataclasses-import")
+    assert applies("src/repro/serve/server.py")
+    assert applies("src/repro/_node.py")
+    assert not applies("tests/test_record_parity.py")

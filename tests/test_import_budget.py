@@ -23,9 +23,13 @@ ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
 MODEL = ROOT / "examples" / "counter.rml"
 
-#: Modules no cold ``--version``, ``run`` or ``lint`` may load (a name
-#: also covers its submodules).
+#: Modules no cold ``--version``, ``run``, ``lint`` or top-level API
+#: lookup may load (a name also covers its submodules).  ``dataclasses``
+#: brings ``inspect``, ``ast``, ``dis`` and ``tokenize`` with it; records
+#: are built by ``repro._node`` instead.
 HEAVY = (
+    "dataclasses",
+    "inspect",
     "concurrent.futures",
     "multiprocessing",
     "socket",
@@ -40,10 +44,14 @@ HEAVY = (
     "repro.mc.explicit_checker",
 )
 
+#: Command name -> interpreter arguments.
 COMMANDS = {
-    "version": ("--version",),
-    "run": ("run", str(MODEL)),
-    "lint": ("lint", str(MODEL)),
+    "version": ("-m", "repro", "--version"),
+    "run": ("-m", "repro", "run", str(MODEL)),
+    "lint": ("-m", "repro", "lint", str(MODEL)),
+    # A public name resolves through its owning module alone, not the
+    # whole API (which would load the server, the fuzzer and the pools).
+    "api": ("-c", "import repro; repro.Analysis"),
 }
 
 
@@ -81,9 +89,9 @@ def bare():
 class TestColdCommands:
     @pytest.mark.parametrize("command", sorted(COMMANDS))
     def test_loads_no_heavy_module(self, command, bare):
-        loaded = imported("-m", "repro", *COMMANDS[command]) - bare
+        loaded = imported(*COMMANDS[command]) - bare
         heavy = sorted(name for name in loaded if _covered(name, HEAVY))
-        assert heavy == [], f"'repro {command}' loaded {heavy}"
+        assert heavy == [], f"{command!r} loaded {heavy}"
 
     def test_version_loads_only_the_cli(self, bare):
         loaded = imported("-m", "repro", "--version") - bare
@@ -116,7 +124,7 @@ def _snippet(code):
     return proc.stdout
 
 
-STACK = ("repro.analysis", "repro.suite.runner", "repro.lang")
+STACK = ("repro.analysis", "repro.suite.runner", "repro.lang", "repro.lint")
 
 
 class TestPreloadBeforeFork:

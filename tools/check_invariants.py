@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Fail CI when the codebase breaks one of its structural invariants.
 
-Four guarantees earlier PRs established are enforceable by AST
+Five guarantees earlier PRs established are enforceable by AST
 inspection, so this tool enforces them:
 
 ``kernel-recursion``
@@ -32,6 +32,13 @@ inspection, so this tool enforces them:
     fan-out ``gen/fuzz.py``).  Anything else imports them inside the
     function that uses them, so a cold ``repro run`` or ``repro lint``
     never pays for process pools or sockets.
+
+``dataclasses-import``
+    No module under ``src/repro`` imports ``dataclasses`` at module
+    level.  Value classes use the exec-free ``repro._node.record``; the
+    ``dataclasses`` module (which loads ``inspect``, ``ast``, ``dis`` and
+    ``tokenize``) was most of a cold ``repro run``'s import time.  Only an
+    error path may import it, inside the function that raises.
 
 When scanning a directory each rule applies only to its scoped paths;
 explicitly-listed files get every rule (which is how the deliberately
@@ -264,15 +271,18 @@ def _imported_modules(node: ast.AST) -> List[str]:
     return [module] + [f"{module}.{alias.name}" for alias in node.names]
 
 
-def check_cold_import(tree: ast.AST, path: Path) -> List[Violation]:
-    """Flag module-level imports of process-pool, socket and archive
-    machinery."""
+def _banned_imports(
+    tree: ast.AST, path: Path, banned_names: Tuple[str, ...], rule: str, advice: str
+) -> List[Violation]:
+    """One violation per module-level import statement that imports a
+    name in ``banned_names`` (or a submodule of one); ``advice`` is
+    formatted with the ``banned`` entry it matched."""
     out: List[Violation] = []
     for node in _module_level_imports(tree.body):
         for name in _imported_modules(node):
             banned = next(
                 (
-                    b for b in COLD_IMPORT_BANNED
+                    b for b in banned_names
                     if name == b or name.startswith(b + ".")
                 ),
                 None,
@@ -281,14 +291,38 @@ def check_cold_import(tree: ast.AST, path: Path) -> List[Violation]:
                 continue
             out.append(
                 Violation(
-                    path, node.lineno, "cold-import",
-                    f"module-level import of {name!r}: import it inside "
-                    f"the function that uses it, so cold CLI commands "
-                    f"never load {banned!r}",
+                    path, node.lineno, rule,
+                    f"module-level import of {name!r}: "
+                    + advice.format(banned=banned),
                 )
             )
             break
     return out
+
+
+def check_cold_import(tree: ast.AST, path: Path) -> List[Violation]:
+    """Flag module-level imports of process-pool, socket and archive
+    machinery."""
+    return _banned_imports(
+        tree, path, COLD_IMPORT_BANNED, "cold-import",
+        "import it inside the function that uses it, so cold CLI commands "
+        "never load {banned!r}",
+    )
+
+
+# ----------------------------------------------------------------------
+# Rule: dataclasses-import
+# ----------------------------------------------------------------------
+
+
+def check_dataclasses_import(tree: ast.AST, path: Path) -> List[Violation]:
+    """Flag module-level imports of ``dataclasses``."""
+    return _banned_imports(
+        tree, path, ("dataclasses",), "dataclasses-import",
+        "declare value classes with repro._node.record, and import "
+        "'dataclasses' only inside an error path, so no start-up path "
+        "loads it (and 'inspect' with it)",
+    )
 
 
 # ----------------------------------------------------------------------
@@ -316,6 +350,11 @@ RULES: Tuple[Tuple[str, Callable, Callable], ...] = (
         check_cold_import,
         lambda rel: rel.startswith("src/")
         and not any(rel.startswith(a) for a in COLD_IMPORT_ALLOWED),
+    ),
+    (
+        "dataclasses-import",
+        check_dataclasses_import,
+        lambda rel: rel.startswith("src/repro/"),
     ),
 )
 

@@ -8,6 +8,7 @@ needs to be syntactically valid.
 
 import socket  # cold-import: socket machinery at module level.
 import warnings
+from dataclasses import dataclass  # dataclasses-import: at module level.
 
 
 class BadKernel:
